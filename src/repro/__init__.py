@@ -19,10 +19,8 @@ or, from a shell::
     python -m repro.runner run fig1 --disks 36,66 --workers 2
     python -m repro.runner run svc_policies   # fleet serving sweep
 
-The v1 entry points (``run_figure1``, ``run_figure2``) still resolve
-from here for compatibility, but are deprecated shims over the spec
-API and warn on use; they are looked up lazily so no internal module
-imports them.
+The v1 entry points and the ``n_nodes=``/``model=`` fleet parameters
+were removed in 2.0; the README's 2.0 notes list their replacements.
 """
 
 from repro.consolidation.scheduler import ScheduleReport
@@ -41,14 +39,7 @@ from repro.workloads.pipelines import (BatchTenant, DatasetCatalog,
                                        EtlSweepResult, PipelineSpec, Stage,
                                        run_pipeline)
 
-__version__ = "1.9.0"
-
-#: deprecated v1 entry points, resolved lazily (PEP 562) so importing
-#: :mod:`repro` never touches them — they warn only when actually used
-_DEPRECATED_SHIMS = {
-    "run_figure1": ("repro.core.experiments", "run_figure1"),
-    "run_figure2": ("repro.core.experiments", "run_figure2"),
-}
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchTenant",
@@ -80,18 +71,5 @@ __all__ = [
     "run_pipeline",
     "simulate_faulty_service",
     "simulate_service",
-    "run_figure1",
-    "run_figure2",
 ]
 
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SHIMS:
-        import importlib
-        module_name, attr = _DEPRECATED_SHIMS[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_SHIMS))

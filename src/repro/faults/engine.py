@@ -1,14 +1,21 @@
-"""The chaos engine: fleet serving under a deterministic fault plan.
+"""The reference serving engine: one timeline for healthy and chaos runs.
 
-:func:`simulate_faulty_service` is the fault-tolerant sibling of
-:func:`repro.service.fleet.simulate_service`: the same closed-form
-FCFS pipes and utilization-linear energy identity, but arrivals now
-share the timeline with a :class:`~repro.faults.schedule.FaultSchedule`
-— node crashes, thermal throttling to a lower DVFS state, RAID-group
-disk failures, and transient dispatch-timeout windows.  The merged
-timeline is a single heap of (time, priority, sequence) events, so a
-chaos run is exactly as deterministic as a healthy one: same stream,
-same schedule, byte-identical report.
+:func:`serve_reference` is the semantic ground truth of fleet serving:
+the closed-form FCFS pipes and utilization-linear energy identity of
+:mod:`repro.service.node`, driven one dispatch at a time through
+``policy.route`` on a single heap of (time, priority, sequence) events.
+Arrivals share that timeline with a batching policy's release
+deadlines and, when a :class:`~repro.faults.schedule.FaultSchedule` is
+given, with its node crashes, thermal throttling to a lower DVFS
+state, RAID-group disk failures, and transient dispatch-timeout
+windows.  A chaos run is therefore exactly as deterministic as a
+healthy one — same stream, same schedule, byte-identical report — and
+a healthy run is a chaos run with nothing scheduled: an empty schedule
+changes nothing but the presence of the fault ledger.
+:func:`repro.service.fleet.simulate_service` runs every configuration
+the vectorized event core declines here, and
+:func:`simulate_faulty_service` is the chaos-flavoured entry into the
+same code.
 
 Degradation is graceful, not silent.  A crash truncates the in-flight
 query at the crash instant, retracts everything queued behind it, and
@@ -21,14 +28,12 @@ at crash instants against its break-even rule.  Every arrival ends in
 exactly one bucket — completed, rejected, or crash-lost — and the
 :class:`~repro.service.report.FaultStats` ledger reconciles them.
 
-Telemetry keeps its exactness guarantee through every transition: the
-mirror replays truncated executions, zero-power crash gaps, and
-recovery boots into real metered devices, so the trace energy matches
-the closed form to the same 1e-9 relative tolerance as the healthy
-path.  Because a crash rewrites a node's recent history (queued work
-is retracted), mirror records are deferred: completions are emitted
-only once they are *settled* — confirmed to predate every later fault
-on their node.
+Observers (telemetry's device mirror, the flight recorder) see each
+execution once it is *settled*.  Without a crash in the schedule
+nothing can be retracted, so an execution settles the instant it is
+dispatched; a schedule holding a crash defers settlement until the
+execution is confirmed to predate every later fault on its node, so
+observers never record work a crash takes back.
 """
 
 from __future__ import annotations
@@ -44,17 +49,17 @@ from repro.faults.policies import RetryPolicy, ShedPolicy
 from repro.faults.schedule import FaultError, FaultSchedule
 from repro.service.autoscale import Autoscaler
 from repro.service.dispatch import (DispatchContext, DispatchPolicy,
-                                    dispatch_candidates, make_policy)
-from repro.service.fleet import (_build_nodes, _mirror_power_state,
-                                 _resolve_fleet, _TelemetryMirror)
-from repro.service.node import NodePowerModel
-from repro.service.report import (FaultStats, ServiceError, ServiceReport,
-                                  TenantStats, quantile, rollup_classes)
+                                    dispatch_candidates)
+from repro.service.fleet import (_assemble_report, _books_close,
+                                 _TelemetryMirror, simulate_service)
+from repro.service.node import FleetNode
+from repro.service.report import FaultStats, ServiceReport
 from repro.service.spec import FleetSpec
 from repro.service.workload import ArrivalStream
 
-# arrival-state codes (per-query resolution ledger)
-_PENDING, _COMPLETED, _REJECTED, _LOST = 0, 1, 2, 3
+# arrival-state codes for the arrivals that never complete (a
+# completed arrival is one with a latency)
+_OPEN, _REJECTED, _LOST = 0, 1, 2
 # heap priorities: faults and repairs rewrite the world the
 # re-dispatches then see, so they win ties; batch releases run last so
 # a released batch dispatches onto the post-fault fleet
@@ -62,46 +67,15 @@ _PRIO_FAULT, _PRIO_REDISPATCH, _PRIO_RELEASE = 0, 1, 2
 _EMPTY: frozenset = frozenset()
 
 
-class _FaultMirror(_TelemetryMirror):
-    """The healthy mirror, taught about crashes.
-
-    The fault engine always passes the execution's busy draw to
-    ``serve`` explicitly (a throttled node runs below peak; the base
-    mirror handles that since PVC landed), and ``crash`` drops the
-    device to zero watts with no drain rectangle — the node just
-    stops drawing power.
-    """
-
-    def crash(self, i: int, now: float) -> None:
-        self.devices[i].power_series.record(now, 0.0)
-        span = self._spans[i]
-        if span is not None:
-            self.collector.stack.close(span, now, {})
-            self._spans[i] = None
-
-    def sync(self, nodes) -> None:
-        _mirror_power_state(self, nodes)
-
-    def finish(self, end: float, report: ServiceReport) -> None:
-        super().finish(end, report)
-        faults = report.faults
-        if faults is not None:
-            for key, value in faults.to_dict().items():
-                if isinstance(value, int):
-                    self.collector.count(f"fault.{key}", value)
-
-
 def _merge_windows(windows: list[tuple[float, float]]) \
         -> tuple[list[float], list[float]]:
     """Union overlapping [start, end) windows; returns (starts, ends)
     as parallel ascending lists for bisection."""
-    windows.sort()
     starts: list[float] = []
     ends: list[float] = []
-    for s, e in windows:
+    for s, e in sorted(windows):
         if starts and s <= ends[-1]:
-            if e > ends[-1]:
-                ends[-1] = e
+            ends[-1] = max(ends[-1], e)
         else:
             starts.append(s)
             ends.append(e)
@@ -116,24 +90,20 @@ def simulate_faulty_service(stream: ArrivalStream,
                             retry: Optional[RetryPolicy] = None,
                             shed: Optional[ShedPolicy] = None,
                             engine: str = "auto",
-                            n_nodes: Optional[int] = None,
-                            model: Optional[NodePowerModel] = None,
                             **policy_kwargs) -> ServiceReport:
     """Serve ``stream`` on a fleet while ``schedule`` breaks it.
 
     ``fleet`` is a :class:`~repro.service.spec.FleetSpec` (default: 16
-    calibrated ``commodity`` nodes); the legacy ``n_nodes=``/``model=``
-    pair still works as a deprecated homogeneous shim (removal
-    announced for 2.0).  Chaos runs always execute on the reference
-    loop — fault windows rewrite per-node history, which the vectorized
-    event core of :mod:`repro.service.engine` cannot replay — so
-    ``engine`` accepts ``"auto"``/``"loop"`` (both run the loop) and
-    rejects ``"event"``.  On a
-    heterogeneous fleet every fault prices against the struck node's
-    *own* power curve — a throttled wimpy node's busy draw follows the
-    cubic DVFS rule on its class's idle/peak watts, a crashed node
-    retracts its own marginal Joules, and the autoscaler's emergency
-    replacement boots are gated by each spare's own break-even time.
+    calibrated ``commodity`` nodes).  Chaos runs always execute on the
+    reference engine — fault windows rewrite per-node history, which
+    the vectorized event core of :mod:`repro.service.engine` cannot
+    replay — so ``engine`` accepts ``"auto"``/``"loop"`` (both run the
+    reference engine) and rejects ``"event"``.  On a heterogeneous
+    fleet every fault prices against the struck node's *own* power
+    curve — a throttled wimpy node's busy draw follows the cubic DVFS
+    rule on its class's idle/peak watts, a crashed node retracts its
+    own marginal Joules, and the autoscaler's emergency replacement
+    boots are gated by each spare's own break-even time.
 
     Semantics per fault kind:
 
@@ -159,12 +129,12 @@ def simulate_faulty_service(stream: ArrivalStream,
       to a survivor (degraded-mode dispatch); an arrival that burns
       its whole attempt budget on timeouts is rejected.
 
-    PVC and QED policies run under faults since the flight recorder
-    landed: a DVFS governor's downclock composes with any active
+    A DVFS governor's downclock (PVC) composes with any active
     throttle window (effective cubic factor is their product), and a
-    batching policy's hold queues release through the same event heap
-    — a released batch routes, sheds, crashes, and retries as one
-    unit, with every member sharing the outcome.
+    batching policy's hold queues (QED) release through the same event
+    heap — a released batch routes, sheds, crashes, and retries as one
+    unit, with every member sharing the outcome.  Batch tenants stay
+    exempt from the admission limit, exactly as on a healthy run.
 
     The returned :class:`~repro.service.report.ServiceReport` carries a
     :class:`~repro.service.report.FaultStats` ledger reconciling every
@@ -187,80 +157,91 @@ def simulate_faulty_service(stream: ArrivalStream,
     ...                            + report.queries_lost)
     True
     """
-    if engine not in ("auto", "event", "loop"):
-        raise ServiceError(
-            f"unknown engine {engine!r}: pass 'auto', 'event', or 'loop'")
-    if engine == "event":
-        from repro.service.engine import event_core_unsupported
-        raise ServiceError(
-            "engine='event' cannot serve this configuration: "
-            f"{event_core_unsupported(None, faults=True)} "
-            "(use engine='auto' to fall back to the reference loop)")
-    fleet = _resolve_fleet(fleet, n_nodes, model)
-    n_nodes = fleet.n_nodes
-    if len(stream) == 0:
-        raise ServiceError("empty arrival stream")
-    if schedule.n_nodes != n_nodes:
-        raise FaultError(
-            f"schedule covers {schedule.n_nodes} nodes but the fleet has "
-            f"{n_nodes}")
-    policy = make_policy(policy, **policy_kwargs)
-    if policy.autoscaled and autoscaler is None:
-        autoscaler = Autoscaler(fleet.classes[0].model)
-    if not policy.autoscaled:
-        autoscaler = None
-    if retry is None:
-        retry = RetryPolicy()
+    if not isinstance(schedule, FaultSchedule):
+        raise FaultError("schedule must be a FaultSchedule, got "
+                         f"{type(schedule).__name__}")
+    return simulate_service(stream, fleet=fleet, policy=policy,
+                            autoscaler=autoscaler, faults=schedule,
+                            retry=retry, shed=shed, engine=engine,
+                            **policy_kwargs)
 
-    nodes = _build_nodes(fleet)
+
+def serve_reference(stream: ArrivalStream,
+                    fleet: FleetSpec,
+                    policy: DispatchPolicy,
+                    autoscaler: Optional[Autoscaler],
+                    nodes: list[FleetNode],
+                    collector=None,
+                    rec=None,
+                    schedule: Optional[FaultSchedule] = None,
+                    retry: Optional[RetryPolicy] = None,
+                    shed: Optional[ShedPolicy] = None) -> ServiceReport:
+    """Run the reference engine on the live ``nodes``; returns the
+    report (``engine="loop"``).
+
+    ``collector``/``rec`` are the installed telemetry collector and
+    flight recorder (or None).  With ``schedule`` None the run is
+    healthy and the report carries no fault ledger; ``retry``
+    (default :class:`RetryPolicy`) and ``shed`` only act on a
+    schedule's faults.
+    """
+    n_nodes = len(nodes)
+    if schedule is not None:
+        if schedule.n_nodes != n_nodes:
+            raise FaultError(
+                f"schedule covers {schedule.n_nodes} nodes but the fleet "
+                f"has {n_nodes}")
+        if retry is None:
+            retry = RetryPolicy()
     on_ids = list(range(n_nodes))
-    models = [node.model for node in nodes]
 
-    from repro.telemetry import current_collector
-    collector = current_collector()
     mirror = (None if collector is None else
-              _FaultMirror(collector, nodes, start_on=True))
-
-    from repro.flightrec.context import current_recorder
-    rec = current_recorder()
+              _TelemetryMirror(collector, nodes))
     if rec is not None:
-        rec.begin_run("chaos", stream, nodes, policy.name,
-                      autoscaler is not None)
+        rec.begin_run(stream, nodes, policy.name, autoscaler is not None)
     rec_detail = rec is not None and rec.detail
+    lane = None if rec is None else rec.serve_lane
     batching = policy.batching
     dvfs = policy.dvfs
 
-    times, services, slas = stream.columns().lists()
-    tenant_idx = stream.tenant_index
+    cols = stream.columns()
+    times, services, slas = cols.lists()
+    tenants = cols.tenant_index.tolist()
+    # batch tenants (pipelines) are exempt from the admission limit:
+    # backlog rejection guards latency, and batch work has none to
+    # guard — it only has a freshness deadline
+    batch_flags = (None if cols.batch_flags is None
+                   else cols.batch_flags.tolist())
     n = len(times)
-    latencies = np.full(n, np.nan)
-    state = np.zeros(n, dtype=np.int8)
+    latencies = [float("nan")] * n
+    state = bytearray(n)  # every arrival starts _OPEN
+    attempts = [0] * n    # per dispatch unit, keyed by its first member
     was_crashed = np.zeros(n, dtype=bool)
-    attempts = [0] * n
 
     # -- per-node fault state (each node on its class's power curve) --
-    peak_minus_idle = [m.peak_watts - m.idle_watts for m in models]
-    throttle_active: list[list[float]] = [[] for _ in range(n_nodes)]
-    disk_active: list[list[float]] = [[] for _ in range(n_nodes)]
+    peak_minus_idle = [node.model.peak_watts - node.model.idle_watts
+                       for node in nodes]
+    #: active degraded windows per node: (kind, severity), kind
+    #: "throttle" or "disk"; overlapping windows compound
+    degraded: list[list[tuple[str, float]]] = [[] for _ in range(n_nodes)]
     speed_mult = [1.0] * n_nodes
     throttle_factor = [1.0] * n_nodes
-    busy_watts = [m.idle_watts + pmi
-                  for m, pmi in zip(models, peak_minus_idle)]
-    #: unsettled executions per node: (job, start, end, scaled, watts,
-    #: frequency) — job is an arrival index or a released Batch
-    pending: list[deque] = [deque() for _ in range(n_nodes)]
+    #: busy draw of a degraded node; None on a healthy one, whose
+    #: full-speed serves are priced in the node's linear lane
+    busy_watts: list[Optional[float]] = [None] * n_nodes
 
     def recompute(i: int) -> None:
-        tf = 1.0
-        for f in throttle_active[i]:
-            tf *= f
-        df = 1.0
-        for f in disk_active[i]:
-            df *= f
+        tf = df = 1.0
+        for kind, f in degraded[i]:
+            if kind == "throttle":
+                tf *= f
+            else:
+                df *= f
         speed_mult[i] = tf * df
         throttle_factor[i] = tf
-        busy_watts[i] = models[i].idle_watts \
-            + peak_minus_idle[i] * tf ** 3
+        busy_watts[i] = (nodes[i].model.idle_watts
+                         + peak_minus_idle[i] * tf ** 3
+                         if degraded[i] else None)
 
     # -- the merged event timeline ------------------------------------
     heap: list[tuple] = []
@@ -273,151 +254,193 @@ def simulate_faulty_service(stream: ArrivalStream,
 
     stats = FaultStats()
     crash_intervals: list[tuple[float, float]] = []
-    timeout_raw: list[list[tuple[float, float]]] = \
-        [[] for _ in range(n_nodes)]
-    for event in schedule.events:
-        if event.kind == "timeout":
-            timeout_raw[event.node].append((event.start, event.end))
-            stats.timeout_windows += 1
+    #: merged (starts, ends) timeout windows per node; None: no window
+    timeouts: list = [None] * n_nodes
+    #: unsettled executions per node, (job, dispatched_at, start, end,
+    #: busy_watts, frequency) — only kept when a crash may retract them
+    pending: Optional[list[deque]] = None
+    if schedule is not None:
+        timeout_raw: list[list[tuple[float, float]]] = \
+            [[] for _ in range(n_nodes)]
+        for event in schedule.events:
+            if event.kind == "timeout":
+                timeout_raw[event.node].append((event.start, event.end))
+                stats.timeout_windows += 1
+            else:
+                push(event.start, _PRIO_FAULT, "fault", event)
+                if event.kind == "crash" and pending is None:
+                    pending = [deque() for _ in range(n_nodes)]
+        timeouts = [_merge_windows(w) if w else None for w in timeout_raw]
+
+    # -- settlement: hand an execution to the observers ----------------
+    def complete(i: int, job, at: float, start: float, end: float,
+                 w: Optional[float], freq: float) -> None:
+        if type(job) is int:
+            latencies[job] = end - times[job]
+            if rec is not None:
+                if w is None:
+                    lane[job] = i
+                else:
+                    rec.active_serves.append((job, i, start, end, w, freq))
         else:
-            push(event.start, _PRIO_FAULT, "fault", event)
-    timeout_windows = [_merge_windows(w) for w in timeout_raw]
-
-    def in_timeout(i: int, now: float) -> bool:
-        starts, ends = timeout_windows[i]
-        pos = bisect_right(starts, now) - 1
-        return pos >= 0 and now < ends[pos]
-
-    # -- settlement: confirm completions that predate later faults ----
-    last_completion = 0.0
+            for m in job.members:
+                latencies[m] = end - times[m]
+            if rec is not None:
+                rec.batch_serves.append((job.members, i, at, start, end,
+                                         job.service_seconds, freq, w))
+        if mirror is not None:
+            mirror.serve(i, start, end, w)
 
     def settle(i: int, upto: float) -> None:
         q = pending[i]
-        while q and q[0][2] <= upto:
-            job, start, end, _scaled, watts, freq = q.popleft()
-            if type(job) is int:
-                latencies[job] = end - times[job]
-                state[job] = _COMPLETED
-                if rec is not None:
-                    rec.fault_serves.append(
-                        (job, i, start, end, watts, freq, None))
-            else:
-                for m in job.members:
-                    latencies[m] = end - times[m]
-                    state[m] = _COMPLETED
-                if rec is not None:
-                    rec.fault_serves.append(
-                        (job.members, i, start, end, watts, freq,
-                         job.service_seconds))
-            if mirror is not None:
-                mirror.serve(i, start, end, watts)
+        while q and q[0][3] <= upto:
+            complete(i, *q.popleft())
 
     # -- dispatch (and re-dispatch) -----------------------------------
     # ``job`` is an arrival index, or (when the policy batches) a
     # released Batch dispatched as one shared execution: its combined
     # demand routes, executes, and sheds as a unit, and every member
     # shares the outcome (latency, rejection, crash loss)
+    last_completion = 0.0
+
+    def members_of(job) -> list[int]:
+        return [job] if type(job) is int else list(job.members)
+
+    def resolve(job, code: int) -> list[int]:
+        members = members_of(job)
+        for m in members:
+            state[m] = code
+        return members
+
+    def candidates(job, now: float, excluded: frozenset):
+        """The node ids a re-dispatch may route to, or None when the
+        fleet is dark and the job was parked until a repair."""
+        # every survivor excluded: forget the exclusions and spend
+        # attempts anywhere rather than stall
+        ids = [i for i in on_ids if i not in excluded] or on_ids
+        if ids:
+            return ids
+        # total blackout: boot a repaired spare, else park the job
+        # until the earliest repair completes
+        spare = next((i for i in range(n_nodes)
+                      if not nodes[i].on
+                      and nodes[i].busy_until <= now), None)
+        if spare is None:
+            wake = min(nodes[i].busy_until for i in range(n_nodes))
+            push(wake, _PRIO_REDISPATCH, "redispatch", (job, _EMPTY))
+            return None
+        nodes[spare].power_on(now)
+        on_ids.append(spare)
+        stats.emergency_boots += 1
+        if mirror is not None:
+            mirror.power_on(spare, now)
+        if rec is not None:
+            rec.events.append((now, "boot", spare, None, None,
+                               {"reason": "blackout"}))
+        return on_ids
+
     def dispatch(job, now: float, excluded: frozenset) -> None:
         nonlocal last_completion
-        ids = (on_ids if not excluded
-               else [i for i in on_ids if i not in excluded])
-        if not ids and excluded:
-            # every survivor is excluded: forget the exclusions and
-            # spend attempts anywhere rather than stall
-            ids = on_ids
-        if not ids:
-            # total blackout: boot a repaired spare, else park the
-            # query until the earliest repair completes
-            spare = next((i for i in range(n_nodes)
-                          if not nodes[i].on
-                          and nodes[i].busy_until <= now), None)
-            if spare is None:
-                wake = min(nodes[i].busy_until for i in range(n_nodes))
-                push(wake, _PRIO_REDISPATCH, "redispatch", (job, _EMPTY))
+        ids = on_ids
+        if excluded or not ids:
+            ids = candidates(job, now, excluded)
+            if ids is None:
                 return
-            nodes[spare].power_on(now)
-            on_ids.append(spare)
-            stats.emergency_boots += 1
-            if mirror is not None:
-                mirror.power_on(spare, now)
-            if rec is not None:
-                rec.events.append((now, "boot", spare, None, None,
-                                   {"reason": "blackout"}))
-            ids = on_ids
-        if type(job) is int:
-            who = (job,)
+        solo = type(job) is int
+        if solo:
+            first = job
             s = services[job]
             sla = slas[job]
         else:
-            who = job.members
+            first = job.members[0]
             s = job.service_seconds
             sla = job.sla_seconds
         ctx = DispatchContext(nodes, ids, now, s, sla)
         i = policy.route(ctx)
         node = nodes[i]
-        for m in who:
-            attempts[m] += 1
+        if retry is not None:  # only faults retry or exhaust attempts
+            attempts[first] += 1
         if rec_detail:
             rec.events.append(
-                (now, "dispatch", i,
-                 int(tenant_idx[who[0]]) if len(who) == 1 else None,
-                 who[0], dispatch_candidates(ctx, i)))
-        if in_timeout(i, now):
+                (now, "dispatch", i, tenants[job] if solo else None,
+                 first, dispatch_candidates(ctx, i)))
+        windows = timeouts[i]
+        if windows is not None and now >= windows[0][0] and \
+                now < windows[1][bisect_right(windows[0], now) - 1]:
             stats.timeouts += 1
-            if retry.exhausted(attempts[who[0]]):
-                state[list(who)] = _REJECTED
+            if retry.exhausted(attempts[first]):
+                members = resolve(job, _REJECTED)
                 if rec is not None:
                     rec.events.append(
-                        (now, "reject", i, None, who[0],
-                         {"reason": "timeout", "members": list(who)}))
+                        (now, "reject", i, None, first,
+                         {"reason": "timeout", "members": members}))
             else:
                 stats.retries += 1
                 delay = (retry.timeout_detect_seconds
-                         + retry.backoff_seconds(attempts[who[0]]))
+                         + retry.backoff_seconds(attempts[first]))
                 push(now + delay, _PRIO_REDISPATCH, "redispatch",
                      (job, excluded | {i}))
                 if rec is not None:
+                    members = members_of(job)
                     rec.events.append(
-                        (now, "timeout", i, None, who[0],
-                         {"retry_at": now + delay,
-                          "members": list(who)}))
+                        (now, "timeout", i, None, first,
+                         {"retry_at": now + delay, "members": members}))
                     rec.events.append(
-                        (now, "retry", i, None, who[0],
-                         {"reason": "timeout", "members": list(who)}))
+                        (now, "retry", i, None, first,
+                         {"reason": "timeout", "members": members}))
             return
-        if not policy.admits(node, now):
-            state[list(who)] = _REJECTED
+        if not policy.admits(node, now) and \
+                (batch_flags is None or not batch_flags[first]):
+            members = resolve(job, _REJECTED)
             if rec is not None:
-                rec.events.append((now, "reject", i, None, who[0],
-                                   {"members": list(who)}))
+                rec.events.append(
+                    (now, "reject", i, tenants[job], job, {}) if solo
+                    else (now, "reject", i, None, first,
+                          {"members": members}))
             return
         if shed is not None and shed.sheds(
                 node.backlog(now),
                 s / (node.model.speed_factor * speed_mult[i]), sla):
-            state[list(who)] = _REJECTED
-            stats.queries_shed += len(who)
+            members = resolve(job, _REJECTED)
+            stats.queries_shed += len(members)
             if rec is not None:
-                rec.events.append((now, "shed", i, None, who[0],
-                                   {"members": list(who)}))
+                rec.events.append((now, "shed", i, None, first,
+                                   {"members": members}))
             return
         freq = 1.0
         w = busy_watts[i]
-        mult = speed_mult[i]
         if dvfs:
-            freq = policy.frequency(ctx, i)
-            if freq < 1.0:
+            f = policy.frequency(ctx, i)
+            if f < 1.0:
                 # compose the governor's downclock with any throttle
                 # fault: both follow the cubic dynamic-power rule, so
                 # the effective cubic factor is their product
-                w = models[i].idle_watts \
-                    + peak_minus_idle[i] * (throttle_factor[i] * freq) ** 3
-                mult = mult * freq
-        start, end = node.serve_active(now, s, w, mult)
-        if len(who) > 1:
-            node.completed += len(who) - 1
-        pending[i].append((job, start, end, end - start, w, freq))
+                freq = f
+                w = node.model.idle_watts \
+                    + peak_minus_idle[i] * (throttle_factor[i] * f) ** 3
+        if w is None:
+            # healthy and full speed: the node's linear lane
+            bu = node.busy_until
+            start = bu if bu > now else now
+            node.serve(now, s)
+            end = node.busy_until
+        else:
+            start, end = node.serve_active(now, s, w, speed_mult[i] * freq)
+        if not solo:
+            # serve()/serve_active() count one completion; the other
+            # members of the shared execution complete with it
+            node.completed += len(job.members) - 1
         if end > last_completion:
             last_completion = end
+        if pending is not None:
+            pending[i].append((job, now, start, end, w, freq))
+        elif solo and w is None and mirror is None:
+            # a plain serve nothing can retract: latency + a lane store
+            latencies[job] = end - times[job]
+            if lane is not None:
+                lane[job] = i
+        else:
+            complete(i, job, now, start, end, w, freq)
 
     # -- fault application --------------------------------------------
     def do_crash(i: int, now: float, downtime: float) -> None:
@@ -433,34 +456,33 @@ def simulate_faulty_service(stream: ArrivalStream,
             return
         settle(i, now)
         q = pending[i]
-        lost: list = []          # destroyed jobs, in queue order
-        lost_queries = 0
-        retract_busy = 0.0
-        retract_joules = 0.0
-        if q and q[0][1] < now:
-            # in-flight execution: ran up to the crash, then destroyed
-            job0, s0, _e0, scaled0, w0, _f0 = q.popleft()
-            unexecuted = scaled0 - (now - s0)
-            retract_busy += unexecuted
-            retract_joules += (w0 - node.model.idle_watts) * unexecuted
-            lost.append(job0)
-            lost_queries += (1 if type(job0) is int
-                             else len(job0.members))
-            if mirror is not None:
-                mirror.serve(i, s0, now, w0)
-            if rec is not None:
-                rec.events.append(
-                    (now, "truncated_serve", i, None,
-                     job0 if type(job0) is int else job0.members[0],
-                     {"start": s0, "end": now, "watts": w0}))
-        while q:
-            job2, _s2, _e2, scaled2, w2, _f2 = q.popleft()
-            retract_busy += scaled2
-            retract_joules += (w2 - node.model.idle_watts) * scaled2
-            lost.append(job2)
-            lost_queries += (1 if type(job2) is int
-                             else len(job2.members))
-        node.retract(retract_busy, retract_joules, lost_queries)
+        idle = node.model.idle_watts
+        lost = list(q)  # destroyed executions, in queue order
+        q.clear()
+        lost_queries = sum(len(members_of(e[0])) for e in lost)
+        retract_busy = retract_linear = retract_joules = 0.0
+        for k, (job, _at, start, end, w, _freq) in enumerate(lost):
+            scaled = end - start
+            if k == 0 and start < now:
+                # in flight: ran up to the crash, then destroyed
+                scaled -= now - start
+                if mirror is not None:
+                    mirror.serve(i, start, now, w)
+                if rec is not None:
+                    rec.events.append(
+                        (now, "truncated_serve", i, None,
+                         members_of(job)[0],
+                         {"start": start, "end": now,
+                          "watts": node.model.peak_watts
+                          if w is None else w}))
+            # retract from the lane the execution was priced in
+            retract_busy += scaled
+            if w is None:
+                retract_linear += scaled
+            else:
+                retract_joules += (w - idle) * scaled
+        node.retract(retract_busy, retract_linear, retract_joules,
+                     lost_queries)
         repair_at = now + downtime
         node.crash(now, repair_at)
         on_ids.remove(i)
@@ -473,24 +495,22 @@ def simulate_faulty_service(stream: ArrivalStream,
                                {"repair_at": repair_at,
                                 "lost": lost_queries}))
         push(repair_at, _PRIO_FAULT, "repair", i)
-        for job2 in lost:
-            members = (job2,) if type(job2) is int else job2.members
-            for m in members:
-                was_crashed[m] = True
+        for job, *_ in lost:
+            members = members_of(job)
+            was_crashed[members] = True
             if retry.exhausted(attempts[members[0]]):
-                state[list(members)] = _LOST
+                resolve(job, _LOST)
                 if rec is not None:
-                    rec.events.append(
-                        (now, "lost", i, None, members[0],
-                         {"members": list(members)}))
+                    rec.events.append((now, "lost", i, None, members[0],
+                                       {"members": members}))
             else:
                 stats.retries += 1
                 push(now + retry.backoff_seconds(attempts[members[0]]),
-                     _PRIO_REDISPATCH, "redispatch", (job2, _EMPTY))
+                     _PRIO_REDISPATCH, "redispatch", (job, _EMPTY))
                 if rec is not None:
                     rec.events.append(
                         (now, "retry", i, None, members[0],
-                         {"reason": "crash", "members": list(members)}))
+                         {"reason": "crash", "members": members}))
         if autoscaler is not None:
             booted = autoscaler.emergency(now, nodes, on_ids, downtime)
             if mirror is not None:
@@ -540,9 +560,9 @@ def simulate_faulty_service(stream: ArrivalStream,
     # -- the run -------------------------------------------------------
     epoch = autoscaler.epoch_seconds if autoscaler is not None else 0.0
     next_epoch = epoch if autoscaler is not None else float("inf")
-    # epochs stop with the workload (legacy semantics): late fault and
-    # repair events must not keep the autoscaler power-cycling a fleet
-    # that has nothing left to serve
+    # epochs stop with the workload: late releases, faults, and repairs
+    # must not keep the autoscaler power-cycling a fleet that has
+    # nothing left to serve
     last_arrival = times[-1]
     k_next = 0
     while k_next < n or heap:
@@ -552,17 +572,18 @@ def simulate_faulty_service(stream: ArrivalStream,
             t, kind, payload = times[k_next], "arrival", k_next
             k_next += 1
         while t >= next_epoch and next_epoch <= last_arrival:
-            for i in list(on_ids):
-                settle(i, next_epoch)
+            if pending is not None:
+                for i in list(on_ids):
+                    settle(i, next_epoch)
             autoscaler.step(next_epoch, nodes, on_ids)
             if mirror is not None:
                 mirror.sync(nodes)
             next_epoch += epoch
         if kind == "arrival":
             if batching:
-                ti = int(tenant_idx[payload])
                 for batch in policy.offer(payload, t, services[payload],
-                                          ti, slas[payload]):
+                                          tenants[payload],
+                                          slas[payload]):
                     execute_batch(batch, t)
                 schedule_release()
             else:
@@ -581,32 +602,24 @@ def simulate_faulty_service(stream: ArrivalStream,
             event = payload
             if event.kind == "crash":
                 do_crash(event.node, t, event.duration)
-            elif event.kind == "throttle":
-                throttle_active[event.node].append(event.severity)
+            else:  # throttle or disk: a degraded window on one node
+                throttle = event.kind == "throttle"
+                degraded[event.node].append((event.kind, event.severity))
                 recompute(event.node)
-                stats.throttle_windows += 1
+                if throttle:
+                    stats.throttle_windows += 1
+                else:
+                    stats.disk_failures += 1
                 push(event.end, _PRIO_FAULT, "fault_end",
-                     ("throttle", event.node, event.severity))
+                     (event.kind, event.node, event.severity))
                 if rec is not None:
                     rec.events.append(
-                        (t, "throttle_start", event.node, None, None,
-                         {"severity": event.severity,
-                          "until": event.end}))
-            else:  # disk
-                disk_active[event.node].append(event.severity)
-                recompute(event.node)
-                stats.disk_failures += 1
-                push(event.end, _PRIO_FAULT, "fault_end",
-                     ("disk", event.node, event.severity))
-                if rec is not None:
-                    rec.events.append(
-                        (t, "disk_fail", event.node, None, None,
-                         {"severity": event.severity,
-                          "until": event.end}))
+                        (t, "throttle_start" if throttle else "disk_fail",
+                         event.node, None, None,
+                         {"severity": event.severity, "until": event.end}))
         elif kind == "fault_end":
             which, i, severity = payload
-            lanes = throttle_active if which == "throttle" else disk_active
-            lanes[i].remove(severity)
+            degraded[i].remove((which, severity))
             recompute(i)
             if rec is not None:
                 rec.events.append(
@@ -627,10 +640,7 @@ def simulate_faulty_service(stream: ArrivalStream,
             execute_batch(batch, batch.release_at)
 
     # -- close the books ----------------------------------------------
-    end = max(last_completion, times[-1])
-    for node in nodes:
-        if node.on and node.busy_until > end:
-            end = node.busy_until
+    end = _books_close(nodes, max(last_completion, last_arrival))
     # a crash that struck a powered-on node after the serving window
     # still closed that node's energy interval at the crash instant;
     # the fleet (and the telemetry mirror) must integrate idle draw on
@@ -638,70 +648,35 @@ def simulate_faulty_service(stream: ArrivalStream,
     for crashed_at, _repair_at in crash_intervals:
         if crashed_at > end:
             end = crashed_at
-    for i in range(n_nodes):
-        settle(i, end)
-    if int((state == _PENDING).sum()):  # pragma: no cover - invariant
+    if pending is not None:
+        for i in range(n_nodes):
+            settle(i, end)
+    lat = np.array(latencies)
+    completed = lat == lat  # NaN: never completed
+    codes = np.frombuffer(state, dtype=np.int8)
+    if (~completed & (codes == _OPEN)).any():  # pragma: no cover
         raise FaultError("internal: arrivals left unresolved")
-    node_stats = [node.finalize(end) for node in nodes]
+    crash_lost = faults = None
+    if schedule is not None:
+        crash_lost = codes == _LOST
+        stats.queries_lost = int(crash_lost.sum())
+        stats.queries_recovered = int((was_crashed & completed).sum())
+        stats.emergency_boots += (autoscaler.emergency_boots
+                                  if autoscaler is not None else 0)
+        stats.node_seconds_lost = sum(
+            max(0.0, min(repair, end) - crashed)
+            for crashed, repair in crash_intervals)
+        stats.downtime_fraction = (stats.node_seconds_lost
+                                   / (n_nodes * end) if end > 0 else 0.0)
+        faults = stats
 
-    completed = state == _COMPLETED
-    rejected = state == _REJECTED
-    crash_lost = state == _LOST
-    stats.queries_lost = int(crash_lost.sum())
-    stats.queries_recovered = int((was_crashed & completed).sum())
-    stats.emergency_boots += (autoscaler.emergency_boots
-                              if autoscaler is not None else 0)
-    stats.node_seconds_lost = sum(
-        max(0.0, min(repair, end) - crashed)
-        for crashed, repair in crash_intervals)
-    stats.downtime_fraction = (stats.node_seconds_lost / (n_nodes * end)
-                               if end > 0 else 0.0)
-
-    lat = latencies[completed]
-    if lat.size:
-        p50, p95, p99 = np.quantile(lat, [0.50, 0.95, 0.99])
-        mean = float(lat.mean())
-    else:
-        p50 = p95 = p99 = mean = 0.0
-    tenants = []
-    for ti, tenant in enumerate(stream.tenants):
-        mask = tenant_idx == ti
-        t_lat = np.sort(latencies[mask & completed])
-        samples = t_lat.tolist()
-        tenants.append(TenantStats(
-            tenant=tenant.name,
-            completed=int(t_lat.size),
-            rejected=int((mask & rejected).sum()),
-            crashed=int((mask & crash_lost).sum()),
-            mean_latency_seconds=float(t_lat.mean()) if samples else 0.0,
-            p50_latency_seconds=quantile(samples, 0.50) if samples else 0.0,
-            p95_latency_seconds=quantile(samples, 0.95) if samples else 0.0,
-            p99_latency_seconds=quantile(samples, 0.99) if samples else 0.0,
-            sla_p95_seconds=tenant.sla_p95_seconds,
-        ))
-
-    report = ServiceReport(
-        policy=policy.name,
-        n_nodes=n_nodes,
-        queries_offered=n,
-        queries_completed=int(completed.sum()),
-        queries_rejected=int(rejected.sum()),
-        makespan_seconds=end,
-        energy_joules=sum(s.energy_joules for s in node_stats),
-        p50_latency_seconds=float(p50),
-        p95_latency_seconds=float(p95),
-        p99_latency_seconds=float(p99),
-        mean_latency_seconds=mean,
-        node_seconds_on=sum(s.on_seconds for s in node_stats),
-        tenants=tenants,
-        nodes=node_stats,
-        faults=stats,
-        classes=rollup_classes(node_stats),
-        fleet=fleet.to_dict(),
-    )
+    report = _assemble_report(stream, fleet, policy, nodes, lat,
+                              completed, end, lost=crash_lost,
+                              faults=faults)
     report.engine = "loop"
+    report.latencies = lat
     if rec is not None:
-        rec.end_run(end, report)
+        rec.end_run(end, report, latencies=lat)
     if mirror is not None:
         mirror.finish(end, report)
     return report

@@ -1,6 +1,6 @@
 """repro.flightrec — the fleet flight recorder.
 
-Time-resolved observability for the serving and chaos engines: a
+Time-resolved observability for the reference serving engine: a
 :func:`record` capture collects typed
 :class:`~repro.flightrec.events.FleetEvent` streams (dispatch, DVFS,
 QED holds, boots/drains/crashes, autoscaler verdicts, sheds, retries)

@@ -1,7 +1,7 @@
 """The process-global flight-recorder switch.
 
 Recording is *off* by default: :func:`current_recorder` returns
-``None`` and every emission site in the serving and chaos engines
+``None`` and every emission site in the reference serving engine
 reduces to one module-global read plus one ``is None`` test — the same
 zero-cost-when-off contract :mod:`repro.telemetry.context` established
 (the overhead guard in ``benchmarks/test_flightrec_overhead.py`` holds

@@ -5,9 +5,9 @@ the serving engines never build event objects per query.  The common
 case — a healthy, full-speed execution — costs one preallocated list
 store (``serve_lane[k] = node``); its span is reconstructed vectorized
 at :meth:`FlightRecorder.finalize` from the engine's own latency
-array.  Rarer executions (downclocked, batched, under faults) append
-one small tuple to a recorder-owned *lane* (``dvfs_serves``,
-``batch_serves``, ``fault_serves``), and cold decisions go to the raw
+array.  Rarer executions (downclocked, throttled, batched) append
+one small tuple to a recorder-owned *lane* (``active_serves``,
+``batch_serves``), and cold decisions go to the raw
 ``events`` list — everything derivable (execution ends, latencies,
 SLA breaches, DVFS shift windows, batch join-up) is derived once, in
 ``finalize``, from those lanes plus the arrival arrays captured at
@@ -49,15 +49,14 @@ class FlightRecorder:
         #: reconstructed vectorized at :meth:`finalize` from the
         #: engine's own latency array (see :meth:`end_run`)
         self.serve_lane: list[int] = []
-        #: healthy downclocked executions: (query, node, start,
-        #: frequency, busy_watts)
-        self.dvfs_serves: list[tuple] = []
+        #: solo executions at an explicit power state (downclocked,
+        #: throttled, or disk-degraded): (query, node, start, end,
+        #: busy_watts, frequency)
+        self.active_serves: list[tuple] = []
         #: shared batch executions: (members, node, release_at, start,
-        #: done, combined_seconds, frequency, busy_watts)
+        #: done, combined_seconds, frequency, busy_watts) — busy_watts
+        #: None for a healthy full-speed execution
         self.batch_serves: list[tuple] = []
-        #: chaos settled executions: (query_or_members, node, start,
-        #: end, busy_watts, frequency, combined_seconds_or_None)
-        self.fault_serves: list[tuple] = []
         #: cold raw events: (t, kind, node, tenant, query, data)
         self.events: list[tuple] = []
         self._meta: Optional[dict[str, Any]] = None
@@ -67,8 +66,8 @@ class FlightRecorder:
 
     # -- run lifecycle -------------------------------------------------
 
-    def begin_run(self, engine: str, stream, nodes,
-                  policy_name: str, autoscaled: bool) -> None:
+    def begin_run(self, stream, nodes, policy_name: str,
+                  autoscaled: bool) -> None:
         """Capture the run's fixed context (arrival arrays, node and
         tenant tables).  One recorder records one run."""
         if self._meta is not None:
@@ -78,7 +77,7 @@ class FlightRecorder:
         self._stream = stream
         self.serve_lane = [-1] * len(stream.times)
         self._meta = {
-            "engine": engine,
+            "engine": "loop",  # observers run on the reference engine
             "policy": policy_name,
             "autoscaled": autoscaled,
             "nodes": [{
@@ -94,11 +93,11 @@ class FlightRecorder:
             } for t in stream.tenants],
         }
 
-    def end_run(self, end: float, report, latencies=None) -> None:
+    def end_run(self, end: float, report, latencies) -> None:
         """Close the run at ``end`` with its closed-form report.
 
         ``latencies`` is the engine's per-query latency array (NaN for
-        queries that never completed); with it, :meth:`finalize`
+        queries that never completed); from it, :meth:`finalize`
         reconstructs every plain serve's span vectorized instead of
         one append per query on the hot path.
         """
@@ -134,20 +133,13 @@ class FlightRecorder:
 
         # parallel numpy shadows of the span columns, kept current by
         # every lane below so the derived-event pass stays vectorized
-        lane_np = (np.asarray(self.serve_lane, dtype=np.int64)
-                   if len(self.serve_lane) == n
-                   else np.full(n, -1, dtype=np.int64))
+        lane_np = np.asarray(self.serve_lane, dtype=np.int64)
         start_np = np.full(n, np.nan)
         comp_np = np.full(n, np.nan)
         freq_np = np.ones(n)
 
         plain = lane_np >= 0
         any_plain = bool(plain.any())
-        if any_plain and self._latencies is None:
-            from repro.errors import ReproError
-            raise ReproError(
-                "recorder holds plain serves but end_run() received no "
-                "latency array to reconstruct their spans from")
         if any_plain:
             lat_np = np.asarray(self._latencies, dtype=float)
             speed_np = np.asarray(speed, dtype=float)
@@ -158,8 +150,7 @@ class FlightRecorder:
         # serve, so no column ever holds a None — the recording keeps
         # the numpy arrays themselves and ``to_dict`` materializes
         # python lists only when the recording is serialized
-        rare = bool(self.dvfs_serves or self.batch_serves
-                    or self.fault_serves)
+        rare = bool(self.active_serves or self.batch_serves)
         fast = any_plain and not rare and bool(plain.all())
         if fast:
             arrival: Any = times_np
@@ -192,8 +183,8 @@ class FlightRecorder:
         attempts: list = [1] * n
         dvfs_nodes: set[int] = set()
 
-        for k, i, start, freq, busy_watts in self.dvfs_serves:
-            done = start + service[k] / (speed[i] * freq)
+        def place(k, i, start, done, busy_watts, freq) -> None:
+            """Fill query ``k``'s span columns (and numpy shadows)."""
             node_col[k] = i
             start_col[k] = start
             completion[k] = done
@@ -204,7 +195,11 @@ class FlightRecorder:
             start_np[k] = start
             comp_np[k] = done
             freq_np[k] = freq
-            dvfs_nodes.add(i)
+            if freq < 1.0:
+                dvfs_nodes.add(i)
+
+        for k, i, start, done, busy_watts, freq in self.active_serves:
+            place(k, i, start, done, busy_watts, freq)
 
         batches: dict[str, list] = {
             "members": [], "first": [], "release_at": [],
@@ -237,20 +232,9 @@ class FlightRecorder:
             batches["frequency"].append(freq)
             if flush is not None:
                 flush["batch"] = bid
-            if freq < 1.0:
-                dvfs_nodes.add(i)
             for m in members:
-                node_col[m] = i
-                start_col[m] = start
-                completion[m] = done
-                watts_col[m] = busy_watts
-                freq_col[m] = freq
-                state[m] = DONE
+                place(m, i, start, done, busy_watts, freq)
                 batch_col[m] = bid
-                lane_np[m] = i
-                start_np[m] = start
-                comp_np[m] = done
-                freq_np[m] = freq
 
         for members, i, release_at, start, done, combined, freq, \
                 busy_watts in self.batch_serves:
@@ -258,46 +242,10 @@ class FlightRecorder:
                     and members[0] not in flush_by_first:
                 # a degenerate solo release is the un-batched engine
                 # event: record it as a plain (or downclocked) serve
-                k = members[0]
-                node_col[k] = i
-                start_col[k] = start
-                completion[k] = done
-                watts_col[k] = busy_watts
-                freq_col[k] = freq
-                state[k] = DONE
-                lane_np[k] = i
-                start_np[k] = start
-                comp_np[k] = done
-                freq_np[k] = freq
-                if freq < 1.0:
-                    dvfs_nodes.add(i)
+                place(members[0], i, start, done, busy_watts, freq)
             else:
                 add_batch(members, i, release_at, start, done, combined,
                           freq, busy_watts)
-
-        for who, i, start, end, busy_watts, freq, combined \
-                in self.fault_serves:
-            if isinstance(who, tuple) and (
-                    len(who) > 1 or who[0] in flush_by_first):
-                add_batch(who, i, start, start, end,
-                          end - start if combined is None else combined,
-                          freq, busy_watts)
-            else:
-                if isinstance(who, tuple):
-                    # degenerate solo release under chaos: plain serve
-                    who = who[0]
-                node_col[who] = i
-                start_col[who] = start
-                completion[who] = end
-                watts_col[who] = busy_watts
-                freq_col[who] = freq
-                state[who] = DONE
-                lane_np[who] = i
-                start_np[who] = start
-                comp_np[who] = end
-                freq_np[who] = freq
-                if freq < 1.0:
-                    dvfs_nodes.add(i)
 
         for t, kind, node, ti, query, data in self.events:
             if kind == RETRY:

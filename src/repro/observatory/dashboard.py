@@ -38,9 +38,6 @@ SERIES_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100",
                 "#e87ba4", "#008300", "#4a3aa7", "#e34948")
 SERIES_DARK = ("#3987e5", "#d95926", "#199e70", "#c98500",
                "#d55181", "#008300", "#9085e9", "#e66767")
-#: deprecated aliases (pre-flightrec names)
-_SERIES_LIGHT = SERIES_LIGHT
-_SERIES_DARK = SERIES_DARK
 
 _CSS = """
 :root {
@@ -182,7 +179,7 @@ def timeline_svg(timelines: Sequence[Mapping[str, Any]],
     parts.append(f'<text x="{width-right}" y="{height-6}"'
                  f' text-anchor="end">{_fmt(t_max)} s</text>')
     for slot, dev in enumerate(series):
-        color = f"var(--s{slot % len(_SERIES_LIGHT) + 1})"
+        color = f"var(--s{slot % len(SERIES_LIGHT) + 1})"
         pts = []
         prev_y = None
         for t, w in zip(dev["times"], dev["watts"]):
@@ -313,7 +310,7 @@ def _device_legend(timelines: Sequence[Mapping[str, Any]]) -> str:
         return ""
     items = []
     for slot, dev in enumerate(timelines):
-        color = f"var(--s{slot % len(_SERIES_LIGHT) + 1})"
+        color = f"var(--s{slot % len(SERIES_LIGHT) + 1})"
         items.append(f'<span><span class="swatch" '
                      f'style="background:{color}"></span>'
                      f'{_esc(dev["name"])}</span>')
@@ -346,9 +343,9 @@ def render_dashboard(store: HistoryStore,
                 latest_sha = record.git_sha
 
     series_css_light = "\n".join(
-        f"  --s{i+1}: {c};" for i, c in enumerate(_SERIES_LIGHT))
+        f"  --s{i+1}: {c};" for i, c in enumerate(SERIES_LIGHT))
     series_css_dark = "\n".join(
-        f"    --s{i+1}: {c};" for i, c in enumerate(_SERIES_DARK))
+        f"    --s{i+1}: {c};" for i, c in enumerate(SERIES_DARK))
     css = (_CSS.replace("%SERIES_LIGHT%", series_css_light)
                .replace("%SERIES_DARK%", series_css_dark))
 

@@ -367,7 +367,7 @@ def _register_builtin_experiments() -> None:
     ))
     register_experiment(ExperimentDef(
         name="svc_mega_calibration",
-        title="Serving: reference loop vs. event core on one 1M-query "
+        title="Serving: reference engine vs. event core on one 1M-query "
               "stream — byte-identity proof and speedup price",
         point_fn=mega_calibration_point,
         defaults={

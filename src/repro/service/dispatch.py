@@ -68,7 +68,7 @@ from repro.service.node import FleetNode
 from repro.service.report import ServiceError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DispatchContext:
     """Everything a routing decision may read, for one arrival.
 
@@ -77,7 +77,9 @@ class DispatchContext:
     from.  ``sla_seconds`` is the arriving tenant's p95 target when the
     engine knows it (``None`` from legacy call sites), which is what
     lets class-aware policies trade a slower-but-cheaper node against
-    the arrival's latency budget.
+    the arrival's latency budget.  Policies treat it as read-only; it
+    is not frozen because the reference engine builds one per
+    dispatch, and a frozen ``__init__`` costs several times more.
     """
 
     nodes: Sequence[FleetNode]

@@ -1,11 +1,12 @@
 """The vectorized array-of-events serving core.
 
 :func:`repro.service.fleet.simulate_service` owns two engines.  The
-**reference loop** walks arrivals one ``DispatchContext`` at a time —
-every query allocates a context, scans the fleet inside
-``policy.route``, and pays a method call per bookkeeping update.  That
-is ~2-30 µs per query depending on the policy, which caps frontier
-sweeps near 10^6 queries.  This module is the **event core**: the same
+**reference engine** (:func:`repro.faults.engine.serve_reference`)
+walks dispatches one ``DispatchContext`` at a time — every query
+allocates a context, scans the fleet inside ``policy.route``, and pays
+a method call per bookkeeping update.  That is ~2-30 µs per query
+depending on the policy, which caps frontier sweeps near 10^6
+queries.  This module is the **event core**: the same
 simulation expressed over the columnar arrays of
 :meth:`~repro.service.workload.ArrivalStream.columns`, with routing
 served by O(log n) incremental structures instead of per-arrival fleet
@@ -36,17 +37,17 @@ the same float operations, in the same order, as
 ``FleetNode.serve``/``serve_active`` — it only inlines them — and the
 real :class:`~repro.service.autoscale.Autoscaler` steps the real nodes
 at epoch boundaries, so energy books, boot decisions, and
-``ServiceReport.to_dict()`` match the reference loop bit for bit (the
-equivalence suite pins this across policies, fleets, and seeds).
+``ServiceReport.to_dict()`` match the reference engine bit for bit
+(the equivalence suite pins this across policies, fleets, and seeds).
 Floating-point order is load-bearing everywhere: heaps compare exact
 ``busy_until`` values, interval accumulators add in arrival order, and
 no sum is ever re-associated.
 
 Configurations the core cannot reproduce exactly — batching policies
-(QED's hold/release protocol), fault schedules, telemetry capture, and
-flight recording, all of which hook per-query engine internals — are
-declined by :func:`event_core_unsupported`, and ``engine="auto"``
-falls back to the reference loop.
+(QED's hold/release protocol), fault schedules, telemetry capture,
+flight recording, and admission-exempt batch tenants under an
+admission limit — are declined by :func:`event_core_unsupported`, and
+``engine="auto"`` falls back to the reference engine.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ CHUNK = 65536
 _INF = float("inf")
 
 #: routers with a vectorized kernel (exact types: a subclass may
-#: override route(), so it must take the reference loop)
+#: override route(), so it must take the reference engine)
 _VECTOR_ROUTERS = (RoundRobin, LeastLoaded, PowerAwarePacking, CostAware)
 
 
@@ -82,19 +83,19 @@ def event_core_unsupported(policy: DispatchPolicy,
                            faults: bool = False,
                            stream: Optional[ArrivalStream] = None
                            ) -> Optional[str]:
-    """Why this configuration must run on the reference loop.
+    """Why this configuration must run on the reference engine.
 
     Returns ``None`` when the event core can serve it, else a one-line
     reason (used verbatim in the ``engine="event"`` error and useful
     for debugging an unexpected ``auto`` fallback).
     """
     if faults:
-        return "fault schedules replay on the reference loop"
+        return "fault schedules replay on the reference engine"
     if collector is not None:
-        return ("telemetry capture needs the reference loop's "
+        return ("telemetry capture needs the reference engine's "
                 "device mirror")
     if recorder is not None:
-        return ("flight recording needs the reference loop's "
+        return ("flight recording needs the reference engine's "
                 "event hooks")
     if stream is not None and policy.admission_limit_seconds is not None \
             and any(t.batch for t in stream.tenants):
@@ -119,7 +120,7 @@ def serve_event(stream: ArrivalStream,
     last_completion)``.
 
     ``nodes``/``on_ids`` are the live fleet (mutated in place, exactly
-    as the reference loop mutates them); the caller finalizes the
+    as the reference engine mutates them); the caller finalizes the
     nodes and assembles the report, so both engines share one tail.
     """
     reason = event_core_unsupported(policy)
@@ -161,10 +162,9 @@ def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
 
     Each row is ``(f, speed_factor * f, busy_watts - idle_watts)`` with
     ``busy_watts = idle + (peak - idle) * f**3`` — the exact
-    expressions the reference engine evaluates per arrival
-    (``fleet.py``'s cubic draw and ``FleetNode.serve_active``'s scaled
-    divisor), precomputed once per (model, step) so byte-identity
-    survives the hoisting.
+    expressions the reference engine evaluates per arrival (its cubic
+    draw and ``FleetNode.serve_active``'s scaled divisor), precomputed
+    once per (model, step) so byte-identity survives the hoisting.
     """
     steps = [f for f in pvc.frequency_steps if f < 1.0]
     by_model: dict = {}
@@ -187,7 +187,7 @@ def _pvc_tables(pvc: PVCPolicy, nodes: Sequence[FleetNode]) -> list[list]:
 def _epoch_setup(autoscaler: Optional[Autoscaler]) -> tuple[float, float,
                                                             float]:
     """``(epoch, next_epoch, carried demand)`` mirroring the reference
-    loop's initialization."""
+    engine's initialization."""
     if autoscaler is None:
         return 0.0, _INF, 0.0
     return (autoscaler.epoch_seconds, autoscaler.epoch_seconds,

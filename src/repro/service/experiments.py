@@ -327,11 +327,11 @@ class MegaCalibrationReport:
         if not self.identical:
             raise ServiceError(
                 "calibration engines disagree: the event core must be "
-                "byte-identical to the reference loop")
+                "byte-identical to the reference engine")
 
     @property
     def speedup(self) -> float:
-        """Reference-loop seconds per event-core second (>= 1 is a
+        """Reference-engine seconds per event-core second (>= 1 is a
         win; the svc_mega acceptance bar is 10x at the 1M point)."""
         return (self.loop_seconds / self.event_seconds
                 if self.event_seconds > 0 else float("inf"))
@@ -377,7 +377,7 @@ def mega_calibration_point(policy: str = "power_aware",
                            epoch_seconds: float = 30.0,
                            min_nodes: int = 2,
                            seed: int = 0) -> MegaCalibrationReport:
-    """Race the reference loop against the event core on one stream.
+    """Race the reference engine against the event core on one stream.
 
     Runs the *same* generated stream through ``engine="loop"`` and
     ``engine="event"`` with independently built policy/autoscaler state,
@@ -433,7 +433,7 @@ def mega_calibration_point(policy: str = "power_aware",
         raise ServiceError(
             f"engine calibration diverged for policy {policy!r}: the "
             "event core's report is not byte-identical to the "
-            "reference loop's")
+            "reference engine's")
     return MegaCalibrationReport(
         policy=policy,
         queries=queries,

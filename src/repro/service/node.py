@@ -191,11 +191,14 @@ class FleetNode:
         self._interval_boot = 0.0  # boot seconds in the current ON span
         # The ON span's active energy above idle splits into two lanes
         # that may coexist (a PVC run downclocks some queries and not
-        # others): serve() seconds accumulate in _interval_linear_busy
-        # and are priced by the fleet-wide (peak - idle) * busy
-        # identity at close, bit-for-bit as always; serve_active()
+        # others): healthy full-speed serve() seconds accumulate in
+        # _interval_linear_busy and are priced by the fleet-wide
+        # (peak - idle) * busy identity at close; serve_active()
         # prices each query's explicit power state into
-        # _interval_active_joules as it runs.
+        # _interval_active_joules as it runs.  Both engines use the
+        # lanes alike (the event core inlines the same float
+        # operations), and retract() takes a crash's destroyed work
+        # back out of the lane it was priced in.
         self._interval_active_joules = 0.0
         self._interval_linear_busy = 0.0
         self.on_seconds = 0.0
@@ -235,7 +238,8 @@ class FleetNode:
         """Admit one query at an explicit power state; returns its
         ``(start, end)`` execution window.
 
-        The fault engine's entry point: a throttled node runs slower
+        The entry point for every execution that is not healthy and
+        full speed: a downclocked (PVC) or throttled node runs slower
         (``speed_mult < 1``) at a lower busy draw (``busy_watts``
         below peak, cubic-DVFS priced), so active energy is
         accumulated per query instead of through the fleet-wide
@@ -259,17 +263,21 @@ class FleetNode:
         self.completed += 1
         return start, self.busy_until
 
-    def retract(self, busy_seconds: float, active_joules: float,
-                count: int) -> None:
+    def retract(self, busy_seconds: float, linear_seconds: float,
+                active_joules: float, count: int) -> None:
         """Take back work a crash destroyed before it completed.
 
-        ``busy_seconds`` / ``active_joules`` are the *unexecuted*
-        remainders of in-flight and queued queries; ``count`` is how
-        many of them never completed at all.
+        ``busy_seconds`` is the *unexecuted* remainder of in-flight and
+        queued queries; ``linear_seconds`` is the part of it admitted
+        by :meth:`serve` and ``active_joules`` the active energy of the
+        part admitted by :meth:`serve_active`, so each retraction
+        leaves the lane it was priced in.  ``count`` is how many of
+        them never completed at all.
         """
-        if min(busy_seconds, active_joules, count) < 0:
+        if min(busy_seconds, linear_seconds, active_joules, count) < 0:
             raise ServiceError(f"{self.name}: negative retraction")
         self._interval_busy -= busy_seconds
+        self._interval_linear_busy -= linear_seconds
         self._interval_active_joules -= active_joules
         self.completed -= count
 

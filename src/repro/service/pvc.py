@@ -4,8 +4,8 @@ Lang & Patel (arXiv 0909.1767, PAPERS.md) call the first of their two
 eco-friendly mechanisms **PVC**: run the processor at a lower
 voltage/frequency point whenever the workload has latency slack, since
 dynamic power falls with the *cube* of frequency while service time
-only grows linearly.  The repo already owns that arithmetic — the
-chaos engine prices CPU throttling with the same cubic rule
+only grows linearly.  The repo already owns that arithmetic — a
+throttle fault is priced with the same cubic rule
 (:func:`repro.hardware.cpu.dvfs_power_watts`) — but there it is a
 *fault*.  :class:`PVCPolicy` promotes it to a deliberate governor: a
 wrapper around any routing policy that, per admitted arrival, picks

@@ -296,7 +296,7 @@ class ServiceReport:
     #: :meth:`to_dict`, so the two engines' reports stay byte-identical
     #: and ledger records / cache keys never see it
     engine: Optional[str] = field(default=None, compare=False)
-    #: per-arrival latencies in stream order (NaN where rejected);
+    #: per-arrival latencies in stream order (NaN where never completed);
     #: runtime-only metadata like :attr:`engine` — excluded from
     #: equality and :meth:`to_dict`.  The pipelines layer reads these
     #: to derive per-stage completion windows without re-simulating.

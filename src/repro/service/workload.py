@@ -99,11 +99,11 @@ class StreamColumns:
 
     ``times``/``service_seconds``/``sla_seconds`` are the numpy columns
     the vectorized event core batches over; :meth:`lists` hands the
-    reference loop the same data as plain Python lists (scalar float
+    reference engine the same data as plain Python lists (scalar float
     reads off a list are ~2x faster than off an ndarray, which is why
-    the loop engine always worked on ``.tolist()`` copies).  Built once
-    per stream and cached, so repeated simulations — and the
-    faults engine — stop re-marshalling per call.
+    the reference engine always works on ``.tolist()`` copies).  Built
+    once per stream and cached, so repeated simulations stop
+    re-marshalling per call.
     """
 
     #: arrival instants, ascending (numpy float64 view)
@@ -123,7 +123,7 @@ class StreamColumns:
 
     def lists(self) -> tuple[list[float], list[float], list[float]]:
         """``(times, service_seconds, sla_seconds)`` as Python lists —
-        the reference loop's marshalling, materialized once."""
+        the reference engine's marshalling, materialized once."""
         if self._lists is None:
             self._lists = (self.times.tolist(),
                            self.service_seconds.tolist(),
@@ -159,7 +159,7 @@ class ArrivalStream:
 
         Both serving engines marshal through this accessor: the
         vectorized event core consumes the arrays directly, the
-        reference loop takes :meth:`StreamColumns.lists`.  The
+        reference engine takes :meth:`StreamColumns.lists`.  The
         ``sla_seconds`` column is the per-arrival broadcast of each
         tenant's p95 target, replacing the per-call ``sla_of`` rebuild
         the engines used to repeat."""

@@ -5,9 +5,10 @@ Batch ETL pipelines — declarative stage DAGs served as scheduled
 tenants of the fleet — live in the :mod:`repro.workloads.pipelines`
 subpackage (see PIPELINES.md).
 
-The v1 drivers (``run_throughput_test``, ``run_scan_experiment``) are
-deprecated shims over the spec API; they resolve lazily (PEP 562) so
-importing this package never touches them, and they warn on use.
+The v1 drivers ``run_throughput_test``/``run_scan_experiment`` were
+removed in 2.0: call :func:`run_throughput`/:func:`run_scan` directly
+or sweep the ``fig1``/``scan`` experiments through
+:class:`~repro.runner.Runner`.
 """
 
 from repro.workloads.tpch_schema import (
@@ -29,14 +30,6 @@ from repro.workloads.scan_workload import ScanReport, run_scan
 from repro.workloads.duty_cycle import DutyCycleReport, run_duty_cycle
 from repro.workloads.oltp import OltpReport, run_oltp_stream
 
-#: deprecated v1 drivers, resolved lazily on attribute access
-_DEPRECATED_SHIMS = {
-    "run_scan_experiment": ("repro.workloads.scan_workload",
-                            "run_scan_experiment"),
-    "run_throughput_test": ("repro.workloads.throughput",
-                            "run_throughput_test"),
-}
-
 __all__ = [
     "ORDERS_SCAN_COLUMNS",
     "DutyCycleReport",
@@ -54,21 +47,8 @@ __all__ = [
     "run_duty_cycle",
     "run_oltp_stream",
     "run_scan",
-    "run_scan_experiment",
     "run_throughput",
-    "run_throughput_test",
     "throughput_mix",
     "tpch_schemas",
 ]
 
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SHIMS:
-        import importlib
-        module_name, attr = _DEPRECATED_SHIMS[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_SHIMS))

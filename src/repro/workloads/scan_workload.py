@@ -11,7 +11,6 @@ not consume any power").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -126,16 +125,3 @@ def run_scan(compressed: bool = False,
         compression_ratio=stored / plain,
     )
 
-
-def run_scan_experiment(*args: Any, **kwargs: Any) -> ScanReport:
-    """Deprecated alias of :func:`run_scan`.
-
-    Kept so pre-``repro.runner`` call sites keep working; new code
-    should sweep the ``scan`` experiment through
-    :class:`~repro.runner.Runner` (which adds process-pool parallelism
-    and result caching) or call :func:`run_scan` directly.
-    """
-    warnings.warn("run_scan_experiment is deprecated; use repro.runner "
-                  "(ExperimentSpec/Runner) or run_scan instead",
-                  DeprecationWarning, stacklevel=2)
-    return run_scan(*args, **kwargs)

@@ -7,7 +7,6 @@ the paper plots (work done per Joule).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -122,15 +121,3 @@ def run_throughput(sim: "Simulation", server: "Server",
         query_seconds=query_seconds,
     )
 
-
-def run_throughput_test(*args: Any, **kwargs: Any) -> ThroughputReport:
-    """Deprecated alias of :func:`run_throughput`.
-
-    Kept so pre-``repro.runner`` call sites keep working; new code
-    should build an :class:`~repro.runner.ExperimentSpec` (or call
-    :func:`run_throughput` directly when driving its own simulation).
-    """
-    warnings.warn("run_throughput_test is deprecated; use repro.runner "
-                  "(ExperimentSpec/Runner) or run_throughput instead",
-                  DeprecationWarning, stacklevel=2)
-    return run_throughput(*args, **kwargs)

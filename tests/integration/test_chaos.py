@@ -280,3 +280,32 @@ class TestAutoscalerEmergency:
         assert scaler.emergency_boots == 2
         assert all(nodes[i].on for i in booted)
         assert on_ids == sorted([0] + booted)
+
+
+class TestBatchTenantsUnderFaults:
+    """Batch tenants keep their admission exemption on every run: the
+    healthy and the chaos path are one engine, so a fault schedule
+    (even an empty one) cannot start rejecting batch work."""
+
+    def test_empty_schedule_rejects_no_batch_work(self):
+        from repro.service.workload import DEFAULT_TENANTS
+        etl = Tenant("etl", rate_per_s=60.0, sla_p95_seconds=3600.0,
+                     mix=(("point", 1.0),), batch=True)
+        stream = build_stream(20_000, tenants=DEFAULT_TENANTS + (etl,),
+                              seed=0)
+        fleet = FleetSpec.homogeneous(4)
+        healthy = simulate_service(stream, fleet=fleet,
+                                   policy="least_loaded",
+                                   admission_limit_seconds=0.5)
+        chaos = simulate_faulty_service(
+            stream, FaultSchedule(n_nodes=4,
+                                  horizon_seconds=stream.duration_seconds),
+            fleet=fleet, policy="least_loaded",
+            admission_limit_seconds=0.5)
+        for report in (healthy, chaos):
+            # the limit bites the interactive tenants, never the batch
+            assert report.queries_rejected > 0
+            assert report.tenant("etl").rejected == 0
+        assert chaos.tenant("etl").to_dict() == \
+            healthy.tenant("etl").to_dict()
+        assert chaos.energy_joules == healthy.energy_joules

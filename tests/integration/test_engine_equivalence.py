@@ -1,18 +1,20 @@
 """Golden equivalence suite for the two serving engines.
 
 The vectorized array-of-events core (``repro.service.engine``) is
-contractually *byte-identical* to the reference per-query loop: for
-every configuration it claims to support, ``ServiceReport.to_dict()``
-must compare equal dict-for-dict, float-for-float — not approximately,
-exactly.  This suite sweeps policy x fleet x admission x autoscaling x
-seed and asserts that identity, pins the engine-selection API
+contractually *byte-identical* to the reference engine
+(``repro.faults.engine.serve_reference``, selected by
+``engine="loop"``): for every configuration it claims to support,
+``ServiceReport.to_dict()`` must compare equal dict-for-dict, float
+for float bit-for-bit — not approximately, exactly.  This suite sweeps
+policy x fleet x admission x autoscaling x seed and asserts that
+identity, pins the engine-selection API
 (``engine="auto"|"event"|"loop"``), and checks the auto-fallback
 configurations (batching, telemetry, flight recording, faults) land on
-the reference loop.  A hypothesis property test extends the identity
+the reference engine.  A hypothesis property test extends the identity
 to adversarial random streams the named experiments would never build.
 """
 
-import warnings
+import json
 
 import numpy as np
 import pytest
@@ -64,6 +66,19 @@ def _run(stream, policy_name, fleet_kind, engine, *,
     return report, policy, autoscaler
 
 
+def _bits(report) -> str:
+    """The report as canonical JSON: float reprs round-trip exactly, so
+    equal strings mean bit-identical floats (signed zeros and NaNs
+    included, which ``==`` on the dicts would blur)."""
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def assert_identical(a, b) -> None:
+    assert a.to_dict() == b.to_dict()
+    assert _bits(a) == _bits(b)
+    assert _bits(a) == _bits(b)
+
+
 @pytest.fixture(scope="module")
 def stream():
     return build_stream(6_000, seed=0)
@@ -79,14 +94,14 @@ class TestByteIdentity:
         event, _, _ = _run(stream, policy_name, fleet_kind, "event")
         assert loop.engine == "loop"
         assert event.engine == "event"
-        assert loop.to_dict() == event.to_dict()
+        assert_identical(loop, event)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_seeds(self, seed):
         s = build_stream(4_000, seed=seed)
         loop, _, _ = _run(s, "power_aware", "homogeneous", "loop")
         event, _, _ = _run(s, "power_aware", "homogeneous", "event")
-        assert loop.to_dict() == event.to_dict()
+        assert_identical(loop, event)
 
     @pytest.mark.parametrize("policy_name",
                              ["power_aware", "cost_aware", "pvc"])
@@ -105,14 +120,14 @@ class TestByteIdentity:
         event, _, _ = _run(dense, policy_name, "homogeneous", "event",
                            admission=2.0)
         assert loop.queries_rejected > 0
-        assert loop.to_dict() == event.to_dict()
+        assert_identical(loop, event)
 
     def test_autoscaled_run_and_decisions(self, stream):
         loop, _, auto_l = _run(stream, "power_aware", "homogeneous",
                                "loop", autoscale=True)
         event, _, auto_e = _run(stream, "power_aware", "homogeneous",
                                 "event", autoscale=True)
-        assert loop.to_dict() == event.to_dict()
+        assert_identical(loop, event)
         # the real Autoscaler runs inside the event core too: its
         # observable state must match the loop's, decision for decision
         assert auto_l.decisions == auto_e.decisions
@@ -128,7 +143,7 @@ class TestByteIdentity:
         auto, _, _ = _run(stream, "least_loaded", "homogeneous", "auto")
         event, _, _ = _run(stream, "least_loaded", "homogeneous", "event")
         assert auto.engine == "event"
-        assert auto.to_dict() == event.to_dict()
+        assert_identical(auto, event)
 
 
 class TestEngineSelection:
@@ -174,7 +189,7 @@ class TestEngineSelection:
                                         fleet=_fleet("homogeneous"),
                                         policy=_policy("power_aware"),
                                         engine="auto")
-        assert loop.to_dict() == fallback.to_dict()
+        assert_identical(loop, fallback)
 
     def test_faults_always_reference_loop(self, stream):
         schedule = build_fault_schedule(
@@ -226,12 +241,6 @@ class TestReportMetadata:
             np.array([t.sla_p95_seconds
                       for t in stream.tenants])[stream.tenant_index])
 
-    def test_deprecated_shims_announce_removal(self, stream):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate_service(stream, n_nodes=4, model=MODEL)
-        assert any("removed in 2.0" in str(w.message) for w in caught)
-
 
 @st.composite
 def _streams(draw):
@@ -278,4 +287,4 @@ class TestPropertyIdentity:
         event = simulate_service(stream, fleet=fleet,
                                  policy=_policy(policy_name),
                                  engine="event")
-        assert loop.to_dict() == event.to_dict()
+        assert_identical(loop, event)

@@ -3,7 +3,8 @@ the replay machinery for random I/O and shared passes."""
 
 import pytest
 
-from repro.core.experiments import run_figure1, run_figure2
+from repro.core.experiments import (Figure1Result, Figure2Result,
+                                    figure1_point, figure2_point)
 from repro.core.profiler import sweep_knob
 from repro.hardware.profiles import commodity
 from repro.relational.executor import ExecutionContext, Executor
@@ -18,9 +19,21 @@ from repro.workloads.joulesort import run_joulesort
 from repro.units import KIB, MB
 
 
+def tiny_figure1() -> Figure1Result:
+    """Figure 1 at two tiny disk counts, one point call per count."""
+    disks = [6, 24]
+    return Figure1Result(disk_counts=disks, reports=[
+        figure1_point(n, streams=2, queries_per_stream=1,
+                      physical_scale_factor=0.0005,
+                      logical_scale_factor=1.0, spindle_groups=6)
+        for n in disks])
+
+
 class TestFigureApis:
     def test_run_figure2_structure(self):
-        result = run_figure2(scale_factor=0.001)
+        result = Figure2Result(
+            uncompressed=figure2_point(False, scale_factor=0.001),
+            compressed=figure2_point(True, scale_factor=0.001))
         assert result.inversion_holds
         assert result.speedup > 1.5
         rows = result.rows()
@@ -28,22 +41,14 @@ class TestFigureApis:
         assert rows[1][0] == "compressed"
 
     def test_run_figure1_tiny_settings(self):
-        result = run_figure1(disk_counts=(6, 24), streams=2,
-                             queries_per_stream=1,
-                             physical_scale_factor=0.0005,
-                             logical_scale_factor=1.0,
-                             spindle_groups=6)
+        result = tiny_figure1()
         assert result.fastest_disks == 24
         assert len(result.rows()) == 2
         times = [r.makespan_seconds for r in result.reports]
         assert times[1] < times[0]
 
     def test_profile_rows_exposed(self):
-        result = run_figure1(disk_counts=(6, 24), streams=2,
-                             queries_per_stream=1,
-                             physical_scale_factor=0.0005,
-                             logical_scale_factor=1.0,
-                             spindle_groups=6)
+        result = tiny_figure1()
         gain, drop = result.tradeoff()
         assert isinstance(gain, float)
         assert 0.0 <= drop < 1.0

@@ -1,11 +1,10 @@
 """Integration tests for the parallel runner: a pooled Figure 1 sweep
 must be bit-identical to the serial one, repeats must be 100% cache
-hits, and the deprecated entry points must keep producing the same
-figures through their shims."""
+hits, and a runner sweep must aggregate into the same figures as
+direct point calls."""
 
-import pytest
-
-from repro.core.experiments import run_figure1, run_figure2
+from repro.core.experiments import (Figure1Result, Figure2Result,
+                                    figure1_point, figure2_point)
 from repro.runner import ExperimentSpec, Runner
 from repro.workloads.scan_workload import run_scan
 
@@ -48,35 +47,26 @@ class TestParallelDeterminism:
             assert point.report.to_dict() == direct.to_dict()
 
 
-class TestDeprecatedShims:
-    def test_run_figure1_warns_and_matches_runner(self):
-        with pytest.deprecated_call():
-            old = run_figure1(disk_counts=(6, 24), streams=2,
-                              queries_per_stream=1,
-                              physical_scale_factor=0.0005,
-                              logical_scale_factor=1.0,
-                              spindle_groups=6)
+class TestPointsMatchRunner:
+    def test_fig1_points_match_runner(self):
+        knobs = {k: v for k, v in TINY_FIG1.items() if k != "disks"}
+        old = Figure1Result(
+            disk_counts=TINY_FIG1["disks"],
+            reports=[figure1_point(n, **knobs) for n in TINY_FIG1["disks"]])
         new = Runner(workers=1, cache=False).run(
             ExperimentSpec("fig1", knobs=TINY_FIG1)).aggregate()
         assert old.to_dict() == new.to_dict()
         assert old.most_efficient_disks == new.most_efficient_disks
 
-    def test_run_figure2_warns_and_matches_runner(self):
-        with pytest.deprecated_call():
-            old = run_figure2(scale_factor=0.001)
+    def test_fig2_points_match_runner(self):
+        old = Figure2Result(
+            uncompressed=figure2_point(False, scale_factor=0.001),
+            compressed=figure2_point(True, scale_factor=0.001))
         new = Runner(workers=1, cache=False).run(
             ExperimentSpec("fig2",
                            knobs={"scale_factor": 0.001})).aggregate()
         assert old.to_dict() == new.to_dict()
         assert new.inversion_holds
-
-    def test_workload_aliases_warn(self):
-        from repro.workloads.scan_workload import run_scan_experiment
-        with pytest.deprecated_call():
-            report = run_scan_experiment(compressed=False,
-                                         scale_factor=0.001)
-        assert report.to_dict() == run_scan(compressed=False,
-                                            scale_factor=0.001).to_dict()
 
 
 class TestAggregation:

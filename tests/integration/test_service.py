@@ -1,9 +1,7 @@
 """Integration tests for fleet serving: the acceptance energy/SLA
 ordering through the real Runner, cache and JSON transport of the new
 report types, the telemetry mirror's exactness against the metered
-devices, and the v2 facade (eager reports, lazy deprecated shims)."""
-
-import warnings
+devices, and the facade (eager reports; the v1 shims gone since 2.0)."""
 
 import pytest
 
@@ -149,31 +147,14 @@ class TestFacade:
         assert repro.ServiceReport is ServiceReport
         assert repro.ServiceSweepResult is ServiceSweepResult
 
-    def test_deprecated_shims_resolve_lazily_without_warning(self):
-        import repro
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fig1 = repro.run_figure1  # resolving must not warn
-        from repro.core.experiments import run_figure1
-        assert fig1 is run_figure1
-        assert "run_figure1" in dir(repro)
-
-    def test_workloads_shims_resolve_lazily_without_warning(self):
-        import repro.workloads as workloads
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            shim = workloads.run_scan_experiment
-        from repro.workloads.scan_workload import run_scan_experiment
-        assert shim is run_scan_experiment
-
     def test_unknown_attribute_still_raises(self):
         import repro
         with pytest.raises(AttributeError):
             repro.run_figure7
 
     def test_no_internal_module_imports_deprecated_entry_points(self):
-        """The v2 acceptance clause: shims resolve only on attribute
-        access, so importing the facade must not materialize them."""
+        """The 2.0 cut: the v1 entry points are gone from the facade,
+        and importing it raises no DeprecationWarning."""
         import os
         import pathlib
         import subprocess
@@ -184,9 +165,12 @@ class TestFacade:
         env = dict(os.environ, PYTHONPATH=str(src))
         code = ("import sys, repro, repro.workloads, repro.runner, "
                 "repro.service; "
-                "assert 'run_figure1' not in vars(repro); "
-                "assert 'run_scan_experiment' not in "
-                "vars(repro.workloads); "
+                "assert not hasattr(repro, 'run_figure1'); "
+                "assert not hasattr(repro, 'run_figure2'); "
+                "assert not hasattr(repro.workloads, "
+                "'run_scan_experiment'); "
+                "assert not hasattr(repro.workloads, "
+                "'run_throughput_test'); "
                 "print('clean')")
         proc = subprocess.run(
             [sys.executable, "-W", "error::DeprecationWarning",

@@ -6,14 +6,11 @@ engine-level behavior (energy, SLAs, telemetry exactness) lives in
 ``tests/integration/test_service_pvc_qed.py``.
 """
 
-import warnings
-
 import pytest
 
 from repro.service import (DISPATCH_POLICIES, DispatchContext, FleetNode,
                            FleetSpec, NodePowerModel, PVCPolicy, QEDPolicy,
-                           ServiceError, build_stream, make_policy,
-                           simulate_service)
+                           ServiceError, build_stream, make_policy)
 from repro.service.dispatch import Batch
 
 MODEL = NodePowerModel()  # 200 W idle / 350 W peak, speed 1
@@ -219,30 +216,3 @@ class TestExecutionHooksUnderFaults:
         assert base.flush() == []
         with pytest.raises(ServiceError, match="offer"):
             base.offer(0, 0.0, 1.0, 0, None)
-
-
-class TestDeprecationStacklevel:
-    """The n_nodes=/model= shims must warn at the *caller's* frame —
-    both on the direct path and through the faults delegation."""
-
-    def test_direct_path_points_at_caller(self):
-        stream = build_stream(300, seed=1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            simulate_service(stream, n_nodes=2, policy="round_robin")
-        [w] = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)]
-        assert w.filename == __file__
-
-    def test_faults_delegation_path_points_at_caller(self):
-        from repro.faults.schedule import build_fault_schedule
-        stream = build_stream(300, seed=1)
-        schedule = build_fault_schedule(
-            2, horizon_seconds=stream.duration_seconds, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            simulate_service(stream, n_nodes=2, policy="round_robin",
-                             faults=schedule)
-        [w] = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)]
-        assert w.filename == __file__

@@ -2,7 +2,7 @@
 ``FleetSpec`` composition and hashing, the node-class registry, the
 ``DispatchContext`` routing protocol and ``cost_aware`` policy, the
 class-aware autoscaler, per-class report rollups, per-class fault
-lanes, and the deprecated ``n_nodes=``/``model=`` shims."""
+lanes, and the ``fleet=`` parameter contract."""
 
 import warnings
 
@@ -345,26 +345,13 @@ class TestPerClassFaultLanes:
 
 
 class TestDeprecatedShims:
-    def test_simulate_service_n_nodes_warns_and_matches_fleet(self):
-        stream = build_stream(300, seed=1)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = simulate_service(stream, n_nodes=4, policy="round_robin")
-        new = simulate_service(stream, fleet=FleetSpec.homogeneous(4),
-                               policy="round_robin")
-        assert old.energy_joules == new.energy_joules
-        assert old.p95_latency_seconds == new.p95_latency_seconds
-
-    def test_simulate_faulty_service_shim_warns(self):
-        stream = build_stream(200, seed=1)
-        schedule = build_fault_schedule(
-            2, horizon_seconds=stream.duration_seconds, seed=0)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            simulate_faulty_service(stream, schedule, n_nodes=2,
-                                    policy="round_robin")
+    """The legacy ``n_nodes=``/``model=`` shims were removed in 2.0."""
 
     def test_fleet_and_shims_are_mutually_exclusive(self):
+        # the removed shims are unknown knobs now, never a second way
+        # to size the fleet
         stream = build_stream(100, seed=1)
-        with pytest.raises(ServiceError, match="not both"):
+        with pytest.raises(ServiceError, match="n_nodes"):
             simulate_service(stream, fleet=FleetSpec.homogeneous(2),
                              n_nodes=2)
 
